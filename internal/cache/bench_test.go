@@ -73,3 +73,49 @@ func BenchmarkHierarchyFlushDirty(b *testing.B) {
 		now, _ = h.FlushDirty(now, 4)
 	}
 }
+
+// BenchmarkNewHierarchy builds the paper's three-level hierarchy: the
+// per-system construction cost that crash-torture pays on every schedule.
+func BenchmarkNewHierarchy(b *testing.B) {
+	back := newFlatBackend()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		Default(back)
+	}
+}
+
+// BenchmarkHierarchyInvalidateAll drops a warm hierarchy's contents, as a
+// simulated crash does.
+func BenchmarkHierarchyInvalidateAll(b *testing.B) {
+	h := Default(newFlatBackend())
+	var buf [mem.BlockSize]byte
+	now := mem.Cycle(0)
+	for a := uint64(0); a < 4<<20; a += mem.BlockSize {
+		now = h.Write(now, a, buf[:])
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		h.InvalidateAll()
+	}
+}
+
+// BenchmarkHierarchyFlushDirtySparse flushes a warm hierarchy holding only
+// a few dirty lines — a short epoch's checkpoint — where the cost is
+// finding them rather than writing them.
+func BenchmarkHierarchyFlushDirtySparse(b *testing.B) {
+	h := Default(newFlatBackend())
+	var buf [mem.BlockSize]byte
+	now := mem.Cycle(0)
+	for a := uint64(0); a < 4<<20; a += mem.BlockSize {
+		now = h.Read(now, a, buf[:])
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for j := uint64(0); j < 16; j++ {
+			now = h.Write(now, (j*4099+uint64(i))%(4<<20)&^(mem.BlockSize-1), buf[:])
+		}
+		now, _ = h.FlushDirty(now, 4)
+	}
+}

@@ -16,6 +16,7 @@ package cache
 
 import (
 	"fmt"
+	"math/bits"
 
 	"thynvm/internal/mem"
 	"thynvm/internal/obs"
@@ -55,18 +56,27 @@ type LevelStats struct {
 	Flushed    uint64 // dirty blocks cleaned by FlushDirty
 }
 
-type line struct {
-	tag     uint64
-	valid   bool
-	dirty   bool
-	lastUse uint64
-	data    []byte
-}
-
+// level is one set-associative cache level stored as flat slabs rather
+// than one object per line: line i (i = set*ways + way) keeps its tag,
+// validity stamp and LRU stamp in pointer-free parallel arrays and its
+// bytes at data[i*BlockSize:]. Building a level therefore costs a handful
+// of allocations whatever its capacity.
+//
+// Validity is generation-stamped: line i is valid iff gens[i] == gen, so
+// invalidating the whole level bumps gen instead of touching every line.
+// Dirtiness lives in a bitmap indexed like the lines, so walking its set
+// bits visits dirty lines in set/way order while skipping clean words
+// 64 lines at a time. A dirty bit implies a valid line.
 type level struct {
 	spec  LevelSpec
-	sets  [][]line
 	nsets uint64
+	ways  int
+	gen   uint32
+	tags  []uint64
+	gens  []uint32
+	used  []uint64 // LRU stamps: Hierarchy.tick at the line's last touch
+	data  []byte
+	dirty []uint64
 	stats LevelStats
 }
 
@@ -75,47 +85,69 @@ func newLevel(spec LevelSpec) *level {
 	if nsets < 1 {
 		nsets = 1
 	}
-	l := &level{spec: spec, nsets: uint64(nsets)}
-	l.sets = make([][]line, nsets)
-	for i := range l.sets {
-		ways := make([]line, spec.Ways)
-		for w := range ways {
-			ways[w].data = make([]byte, mem.BlockSize)
-		}
-		l.sets[i] = ways
+	n := nsets * spec.Ways
+	return &level{
+		spec:  spec,
+		nsets: uint64(nsets),
+		ways:  spec.Ways,
+		gen:   1, // zeroed stamps start out invalid
+		tags:  make([]uint64, n),
+		gens:  make([]uint32, n),
+		used:  make([]uint64, n),
+		data:  make([]byte, n*mem.BlockSize),
+		dirty: make([]uint64, (n+63)/64),
 	}
-	return l
 }
 
-func (l *level) setOf(block uint64) []line { return l.sets[block%l.nsets] }
+// setBase returns the index of the first line of block's set. Every
+// preset has a power-of-two set count, where the modulo is a mask.
+func (l *level) setBase(block uint64) int {
+	if l.nsets&(l.nsets-1) == 0 {
+		return int(block&(l.nsets-1)) * l.ways
+	}
+	return int(block%l.nsets) * l.ways
+}
 
-// lookup returns the way holding block, or nil.
+// line returns the bytes of line i, capacity-bounded so that a holder of
+// the slice (a backend write) cannot append into the next line.
+func (l *level) line(i int) []byte {
+	return l.data[i*mem.BlockSize : (i+1)*mem.BlockSize : (i+1)*mem.BlockSize]
+}
+
+// isDirty reports whether line i holds modifications not yet written down.
+func (l *level) isDirty(i int) bool { return l.dirty[i>>6]&(1<<(uint(i)&63)) != 0 }
+
+// lookup returns the index of the line holding block, or -1.
 //
 //thynvm:hotpath
-func (l *level) lookup(block uint64) *line {
-	set := l.setOf(block)
-	for i := range set {
-		if set[i].valid && set[i].tag == block {
-			return &set[i]
+func (l *level) lookup(block uint64) int {
+	base := l.setBase(block)
+	for i, t := range l.tags[base : base+l.ways] {
+		if t == block && l.gens[base+i] == l.gen {
+			return base + i
 		}
 	}
-	return nil
+	return -1
 }
 
-// victim picks the replacement way in block's set: an invalid way if one
+// victim picks the replacement line in block's set: an invalid way if one
 // exists, else the LRU way.
-func (l *level) victim(block uint64) *line {
-	set := l.setOf(block)
-	var v *line
-	for i := range set {
-		if !set[i].valid {
-			return &set[i]
+//
+//thynvm:hotpath
+func (l *level) victim(block uint64) int {
+	base := l.setBase(block)
+	gens := l.gens[base : base+l.ways]
+	used := l.used[base : base+len(gens)]
+	v := 0
+	for i, g := range gens {
+		if g != l.gen {
+			return base + i
 		}
-		if v == nil || set[i].lastUse < v.lastUse {
-			v = &set[i]
+		if used[i] < used[v] {
+			v = i
 		}
 	}
-	return v
+	return base + v
 }
 
 // Hierarchy is a multi-level write-back, write-allocate cache hierarchy in
@@ -141,7 +173,7 @@ type Hierarchy struct {
 // last) on top of back. With no specs the hierarchy is a transparent
 // pass-through to the backend.
 func NewHierarchy(back Backend, specs ...LevelSpec) *Hierarchy {
-	h := &Hierarchy{back: back}
+	h := &Hierarchy{back: back, levels: make([]*level, 0, len(specs))}
 	for _, s := range specs {
 		if s.Ways <= 0 || s.SizeB < s.Ways*mem.BlockSize {
 			panic(fmt.Sprintf("cache: invalid level spec %+v", s))
@@ -183,12 +215,16 @@ func (h *Hierarchy) Stats() []struct {
 // state that a checkpoint flush would have to write down). O(1).
 func (h *Hierarchy) DirtyBlocks() int { return h.dirty }
 
-// setDirty transitions a line's dirty bit, keeping the global counter.
-func (h *Hierarchy) setDirty(ln *line, d bool) {
-	if ln.dirty == d {
+// setDirty transitions line i's dirty bit in l, keeping the global
+// counter.
+//
+//thynvm:hotpath
+func (h *Hierarchy) setDirty(l *level, i int, d bool) {
+	w, bit := i>>6, uint64(1)<<(uint(i)&63)
+	if (l.dirty[w]&bit != 0) == d {
 		return
 	}
-	ln.dirty = d
+	l.dirty[w] ^= bit
 	if d {
 		h.dirty++
 	} else {
@@ -208,11 +244,11 @@ func (h *Hierarchy) fetch(now mem.Cycle, li int, block uint64, buf []byte) mem.C
 	}
 	l := h.levels[li]
 	now += l.spec.HitLat
-	if ln := l.lookup(block); ln != nil {
+	if i := l.lookup(block); i >= 0 {
 		l.stats.Hits++
 		h.tick++
-		ln.lastUse = h.tick
-		copy(buf, ln.data)
+		l.used[i] = h.tick
+		copy(buf, l.data[i*mem.BlockSize:]) // buf is one block long
 		return now
 	}
 	l.stats.Misses++
@@ -231,22 +267,24 @@ func (h *Hierarchy) fetch(now mem.Cycle, li int, block uint64, buf []byte) mem.C
 	return done
 }
 
-// install places data for block into level li, evicting as needed.
-// The victim's writeback is charged at cycle now.
-func (h *Hierarchy) install(now mem.Cycle, li int, block uint64, data []byte, dirty bool) {
+// install places data for block into level li, evicting as needed, and
+// returns the line it now occupies. The victim's writeback is charged at
+// cycle now.
+func (h *Hierarchy) install(now mem.Cycle, li int, block uint64, data []byte, dirty bool) int {
 	l := h.levels[li]
 	v := l.victim(block)
-	if v.valid && v.dirty {
+	if l.isDirty(v) {
 		l.stats.Writebacks++
-		h.setDirty(v, false)
-		h.writeBelow(now, li, v.tag, v.data)
+		h.setDirty(l, v, false)
+		h.writeBelow(now, li, l.tags[v], l.line(v))
 	}
-	v.valid = true
-	h.setDirty(v, dirty)
-	v.tag = block
+	l.gens[v] = l.gen
+	h.setDirty(l, v, dirty)
+	l.tags[v] = block
 	h.tick++
-	v.lastUse = h.tick
-	copy(v.data, data)
+	l.used[v] = h.tick
+	copy(l.line(v), data)
+	return v
 }
 
 // writeBelow delivers a dirty block evicted from level li to level li+1
@@ -254,11 +292,11 @@ func (h *Hierarchy) install(now mem.Cycle, li int, block uint64, data []byte, di
 func (h *Hierarchy) writeBelow(now mem.Cycle, li int, block uint64, data []byte) {
 	for lj := li + 1; lj < len(h.levels); lj++ {
 		l := h.levels[lj]
-		if ln := l.lookup(block); ln != nil {
-			copy(ln.data, data)
-			h.setDirty(ln, true)
+		if i := l.lookup(block); i >= 0 {
+			copy(l.line(i), data)
+			h.setDirty(l, i, true)
 			h.tick++
-			ln.lastUse = h.tick
+			l.used[i] = h.tick
 			return
 		}
 	}
@@ -316,22 +354,21 @@ func (h *Hierarchy) Write(now mem.Cycle, addr uint64, data []byte) mem.Cycle {
 	block := mem.BlockIndex(addr)
 	l1 := h.levels[0]
 	now += l1.spec.HitLat
-	ln := l1.lookup(block)
-	if ln == nil {
+	i := l1.lookup(block)
+	if i < 0 {
 		// Write-allocate: fetch the block, then modify in L1.
 		l1.stats.Misses++
 		blk := h.scratch[:]
 		done := h.fetch(now, 1, block, blk)
-		h.install(done, 0, block, blk, false)
-		ln = l1.lookup(block)
+		i = h.install(done, 0, block, blk, false)
 		now = done
 	} else {
 		l1.stats.Hits++
 	}
-	copy(ln.data[addr%mem.BlockSize:], data)
-	h.setDirty(ln, true)
+	copy(l1.data[i*mem.BlockSize+int(addr%mem.BlockSize):], data) // checkRange keeps data in the block
+	h.setDirty(l1, i, true)
 	h.tick++
-	ln.lastUse = h.tick
+	l1.used[i] = h.tick
 	return now
 }
 
@@ -350,24 +387,28 @@ func checkRange(addr uint64, n int) error {
 // paper specifies to preserve locality after a checkpoint). It returns the
 // cycle at which the last flush write was issued and the number of blocks
 // flushed. perBlockIssue is the pipeline cost charged to issue each flush.
+//
+// Each level's dirty bitmap is walked in line order — set by set, way by
+// way — so the writes go out in the same order as a full walk of every
+// line would issue them, at a cost proportional to the bitmap's words
+// plus the dirty lines.
 func (h *Hierarchy) FlushDirty(now mem.Cycle, perBlockIssue mem.Cycle) (mem.Cycle, int) {
 	flushed := 0
 	// Upper levels hold the newest data; flushing a block from an upper
 	// level supersedes stale dirty copies below, so clean those too.
 	for li, l := range h.levels {
-		for si := range l.sets {
-			set := l.sets[si]
-			for wi := range set {
-				ln := &set[wi]
-				if !ln.valid || !ln.dirty {
-					continue
-				}
+		for wi, w := range l.dirty {
+			// Only syncBelow touches other lines, and only in lower
+			// levels, so the word read at the top of the loop stays exact.
+			for ; w != 0; w &= w - 1 {
+				i := wi<<6 + bits.TrailingZeros64(w)
+				tag, data := l.tags[i], l.line(i)
 				now += perBlockIssue
-				now = h.back.WriteBlock(now, ln.tag*mem.BlockSize, ln.data)
-				h.setDirty(ln, false)
+				now = h.back.WriteBlock(now, tag*mem.BlockSize, data)
+				h.setDirty(l, i, false)
 				l.stats.Flushed++
 				flushed++
-				h.syncBelow(li, ln.tag, ln.data)
+				h.syncBelow(li, tag, data)
 			}
 		}
 	}
@@ -380,9 +421,10 @@ func (h *Hierarchy) FlushDirty(now mem.Cycle, perBlockIssue mem.Cycle) (mem.Cycl
 // data.
 func (h *Hierarchy) syncBelow(li int, block uint64, data []byte) {
 	for lj := li + 1; lj < len(h.levels); lj++ {
-		if ln := h.levels[lj].lookup(block); ln != nil {
-			copy(ln.data, data)
-			h.setDirty(ln, false)
+		l := h.levels[lj]
+		if i := l.lookup(block); i >= 0 {
+			copy(l.line(i), data)
+			h.setDirty(l, i, false)
 		}
 	}
 }
@@ -394,23 +436,24 @@ func (h *Hierarchy) syncBelow(li int, block uint64, data []byte) {
 func (h *Hierarchy) PeekOverlay(base uint64, buf []byte) {
 	block := base / mem.BlockSize
 	for _, l := range h.levels {
-		if ln := l.lookup(block); ln != nil {
-			copy(buf, ln.data)
+		if i := l.lookup(block); i >= 0 {
+			copy(buf, l.line(i))
 			return
 		}
 	}
 }
 
-// InvalidateAll drops all cached state (a crash: caches are volatile).
+// InvalidateAll drops all cached state (a crash: caches are volatile). It
+// costs one generation bump and a bitmap clear per level, not a pass over
+// every line; only a wrapped generation counter resets the stamps.
 func (h *Hierarchy) InvalidateAll() {
 	for _, l := range h.levels {
-		for si := range l.sets {
-			set := l.sets[si]
-			for wi := range set {
-				set[wi].valid = false
-				set[wi].dirty = false
-			}
+		l.gen++
+		if l.gen == 0 {
+			clear(l.gens)
+			l.gen = 1
 		}
+		clear(l.dirty)
 	}
 	h.dirty = 0
 }

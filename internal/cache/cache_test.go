@@ -299,3 +299,14 @@ func TestFlushSyncsLowerLevelCopies(t *testing.T) {
 		t.Fatalf("read %d after flush+eviction, want 42 (stale lower-level copy served)", buf[0])
 	}
 }
+
+// Building a hierarchy costs a fixed handful of allocations per level —
+// the level and its line slabs — however many lines the level holds.
+func TestNewHierarchyAllocatesPerLevelNotPerLine(t *testing.T) {
+	back := newFlatBackend()
+	const perLevel, fixed = 6, 3
+	allocs := testing.AllocsPerRun(5, func() { Default(back) })
+	if allocs > 3*perLevel+fixed {
+		t.Errorf("Default allocated %.0f times, want at most %d (%d per level + %d)", allocs, 3*perLevel+fixed, perLevel, fixed)
+	}
+}

@@ -126,3 +126,52 @@ func BenchmarkDeviceSettleBatch(b *testing.B) {
 		now = d.Flush(now)
 	}
 }
+
+// BenchmarkDeviceWriteScattered posts writes whose completions arrive out
+// of posting order across banks with a deep queue: every other write goes
+// to a new row of bank 0, which falls ever further behind on dirty row
+// misses, while the rest hit open rows on the other banks and complete
+// first.
+func BenchmarkDeviceWriteScattered(b *testing.B) {
+	spec := NVMSpec()
+	d := NewDevice(spec)
+	var buf [BlockSize]byte
+	stride := spec.RowBytes * uint64(spec.Banks) // next row of the same bank
+	now := Cycle(0)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		addr := uint64(i/2%1024) * stride // bank 0, a new row each time
+		if i%2 == 1 {
+			addr = spec.RowBytes*uint64(1+i/2%7) + uint64(i/14%64)*BlockSize
+		}
+		now = d.Write(now, addr, buf[:], SrcCPU)
+	}
+}
+
+// BenchmarkDeviceForwardDeepQueue reads against a 512-deep posted-write
+// queue: every read overlaps a pending block write or hits a page that
+// shares its forwarding bucket (16 MiB away) without overlapping anything.
+// The reads stay at cycle 0, so nothing retires and the queue stays full.
+func BenchmarkDeviceForwardDeepQueue(b *testing.B) {
+	d := NewDevice(NVMSpec())
+	var buf [BlockSize]byte
+	const alias = pendBuckets * PageSize
+	addrs := make([]uint64, 512)
+	for i := range addrs {
+		addrs[i] = uint64(i%128)*PageSize + uint64(i/128)*BlockSize
+		d.Write(0, addrs[i], buf[:], SrcCPU)
+	}
+	if d.PendingWrites(0) != len(addrs) {
+		b.Fatalf("queue holds %d writes, want %d", d.PendingWrites(0), len(addrs))
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		a := addrs[i%len(addrs)]
+		if i%2 == 1 {
+			a += alias
+		}
+		d.Read(0, a, buf[:])
+	}
+}

@@ -25,25 +25,63 @@ type bank struct {
 	writeReadyAt  Cycle // earliest cycle the bank can begin draining a write
 }
 
-// pendingMeta describes a posted write that has been scheduled on a bank
-// but is not yet durable (its completion lies in the future). seq is the
-// posting order (1-based, unique per device): the queue itself is kept
-// sorted by completion cycle, so seq is what preserves program order
-// wherever it is observable — overlapping forwards, crash replay, settle
-// batches. The payload lives in Device.slots[slot] (n caches its length):
-// keeping the metadata pointer-free means sifting and compacting the
-// queue moves plain words, with no GC write barriers.
-type pendingMeta struct {
+// pendingWrite is a posted write that has been scheduled on a bank but is
+// not yet durable (its completion lies in the future). It lives in
+// Device.pend at its slot index and stays put while in flight; the queues
+// and forwarding chains hold only slot indices. seq is the posting order
+// (1-based, unique per device): the queues are kept in completion order,
+// so seq is what preserves program order wherever it is observable —
+// overlapping forwards, crash replay, settle batches. next is the
+// forwarding-chain link of the write's first page (see fwdNode).
+type pendingWrite struct {
 	addr uint64
-	done Cycle
 	seq  uint64
-	slot int32
-	n    int32
+	data []byte
+	next int32
 }
 
-// pendBuckets sizes the direct-mapped page-granular occupancy filter that
-// lets reads skip the pending-queue scan. Power of two; 4096 buckets cover
-// 16 MiB of distinct pages before aliasing.
+// queued is a FIFO entry: a posted write's completion and slot. The
+// completion lives here rather than in pendingWrite so that posting and
+// the durability checks of settling read only the rings, which are
+// walked in order.
+type queued struct {
+	done Cycle
+	slot int32
+}
+
+// slotFIFO is a growable ring of queued writes in completion order (ties
+// in posting order). ring's length is zero or a power of two.
+type slotFIFO struct {
+	ring []queued
+	head int
+	n    int
+}
+
+func (f *slotFIFO) at(i int) queued { return f.ring[(f.head+i)&(len(f.ring)-1)] }
+
+// readyFront is a FIFO whose front write is durable, with that write's seq.
+type readyFront struct {
+	seq  uint64
+	fifo int
+}
+
+// A forwarding-chain reference names one page of a live write. Every write
+// is chained once per page it touches, oldest write first in the page's
+// bucket. The link of a write's first page is embedded in its pendingWrite
+// (ref = slot+1), so a single-page write — nearly all of them — costs no
+// separate node; each further page of a multi-page write takes an
+// overflow node (ref = -index into Device.extra). Ref 0 ends a chain.
+//
+// fwdNode is an overflow node: the page it stands for and its write.
+type fwdNode struct {
+	page uint64 // page-aligned address
+	slot int32
+	next int32
+}
+
+// pendBuckets sizes the direct-mapped page-granular forwarding index.
+// Power of two; 4096 buckets cover 16 MiB of distinct pages before
+// aliasing, which only lengthens a chain, never hides a write.
 const pendBuckets = 4096
 
 // WriteFault intercepts a posted write before it enters the queue (fault
@@ -95,27 +133,34 @@ type Device struct {
 	banks []bank
 	store *Storage
 
-	// The posted-write queue is a completion-ordered run: pq[head:] is
-	// sorted by done (ties in posting order), so settleBatch retires whole
-	// completed runs as prefix pops instead of rescanning the queue, and
-	// minDone is simply the head entry's completion. Entries [0,head) are
-	// retired and reclaimed by periodic compaction. Payloads sit in slots
-	// (stable while the write is in flight, indices recycled through
-	// freeSlot) so queue maintenance never moves pointers.
-	pq       []pendingMeta
-	head     int
-	slots    [][]byte
+	// The posted-write queue is one FIFO per bank. A write joins the FIFO
+	// of the bank whose access sets its completion; that bank's
+	// writeReadyAt only grows until Crash empties the queue, so every FIFO
+	// is already in completion order and posting and retiring are O(1).
+	// The extra last FIFO holds writes that touch no bank (empty and
+	// block-aligned), kept in completion order by a sift. heads[i] caches
+	// the completion at the front of fifos[i] (MaxCycle when empty), so
+	// settling scans one dense array. Writes sit in pend slots (stable
+	// while in flight, indices recycled through freeSlot) so queue
+	// maintenance moves only indices.
+	fifos    []slotFIFO
+	heads    []Cycle
+	pend     []pendingWrite
 	freeSlot []int32
-	seqCtr   uint64   // posting counter; next write gets seqCtr+1
-	minDone  Cycle    // pq[head].done (valid when the live run is non-empty)
-	free     [][]byte // recycled posted-write buffers, reused by WriteAt
+	live     int          // posted writes not yet retired
+	seqCtr   uint64       // posting counter; next write gets seqCtr+1
+	minDone  Cycle        // earliest live completion (valid when live > 0)
+	free     [][]byte     // recycled posted-write buffers, reused by WriteAt
+	ready    []readyFront // scratch: FIFOs with a durable front, for settleBatch
+	all      []queued     // scratch: the whole queue in posting order
 
-	// pendCnt counts live pending writes per direct-mapped page bucket
-	// (incremented on post, decremented on retire). Reads consult it to
-	// skip the queue scan when no live write can overlap them; aliasing
-	// 4096 pages apart only costs a redundant scan, never a missed
-	// forward.
-	pendCnt [pendBuckets]uint16
+	// Forwarding index: each live write is chained once per page it
+	// touches in the page's direct-mapped bucket (see fwdNode), so a read
+	// walks only the writes that share its pages' buckets. The buckets
+	// themselves sit at the end of the struct, clear of the hot fields.
+	extra     []fwdNode // overflow nodes; extra[0] is unused
+	freeExtra int32     // head of the free overflow-node list (0 when empty)
+	hits      []int32   // scratch: slots a read forwards from, in seq order
 
 	stats DeviceStats
 
@@ -131,6 +176,8 @@ type Device struct {
 	readHist  obs.HistID
 	writeHist obs.HistID
 	track     obs.TrackID
+
+	buckets [pendBuckets]struct{ head, tail int32 }
 }
 
 // NewDevice creates a device with the given spec and empty heap-backed
@@ -155,6 +202,12 @@ func NewDeviceStorage(spec DeviceSpec, store *Storage) *Device {
 		spec:  spec,
 		banks: make([]bank, spec.Banks),
 		store: store,
+		fifos: make([]slotFIFO, spec.Banks+1),
+		heads: make([]Cycle, spec.Banks+1),
+		extra: make([]fwdNode, 1),
+	}
+	for i := range d.heads {
+		d.heads[i] = MaxCycle
 	}
 	for i := range d.banks {
 		d.banks[i].readRow = -1
@@ -201,15 +254,17 @@ func (d *Device) Stats() DeviceStats { return d.stats }
 // ResetStats zeroes the counters without touching contents or timing state.
 func (d *Device) ResetStats() { d.stats = DeviceStats{} }
 
-func (d *Device) bankOf(addr uint64) (*bank, int64) {
+func (d *Device) bankIndex(addr uint64) (int, int64) {
 	row := int64(addr / d.spec.RowBytes)
-	return &d.banks[uint64(row)%uint64(len(d.banks))], row
+	return int(uint64(row) % uint64(len(d.banks))), row
 }
 
 // access performs one timed bank access covering [addr, addr+n) and returns
-// when it completes. The caller guarantees the range stays within one block.
-func (d *Device) access(now Cycle, addr uint64, write bool) (done Cycle) {
-	b, row := d.bankOf(addr)
+// when it completes and on which bank. The caller guarantees the range
+// stays within one block.
+func (d *Device) access(now Cycle, addr uint64, write bool) (done Cycle, bi int) {
+	bi, row := d.bankIndex(addr)
+	b := &d.banks[bi]
 	ready := b.readReadyAt
 	if write {
 		ready = b.writeReadyAt
@@ -247,7 +302,7 @@ func (d *Device) access(now Cycle, addr uint64, write bool) (done Cycle) {
 	} else {
 		b.readReadyAt = done
 	}
-	return done
+	return done, bi
 }
 
 // settle applies every pending write that has completed by cycle now.
@@ -261,64 +316,181 @@ func (d *Device) access(now Cycle, addr uint64, write bool) (done Cycle) {
 //
 //thynvm:hotpath
 func (d *Device) settle(now Cycle) {
-	if d.head == len(d.pq) || now < d.minDone {
+	if d.live == 0 || now < d.minDone {
 		return
 	}
 	d.settleBatch(now)
 }
 
-// settleBatch retires the completed run at the head of the queue: because
-// pending[head:] is completion-ordered, the writes durable by now form a
-// prefix, popped in one walk instead of the old full-queue rescan per
-// retirement. The batch is applied to the store in posting (seq) order —
-// the same set and the same relative order the posting-ordered queue
-// replayed per settle call — so store contents stay byte-identical by
-// construction even when completion order inverts posting order across
-// banks. The watermark generalizes to the run boundary: the first entry
-// left alive.
+// settleBatch retires every write durable by now. Each FIFO is completion
+// ordered, so those writes are FIFO prefixes; they are merged by seq and
+// applied to the store in posting order, which keeps store contents
+// byte-identical even when completion order inverts posting order across
+// banks. Bank FIFOs are also in posting order, so the merge needs only
+// their fronts: ready lists the FIFOs with a durable front, sorted by the
+// front's seq, and a FIFO whose next write is durable too moves back to
+// its place. The new watermark is the earliest completion still live.
 //
 //thynvm:hotpath
 func (d *Device) settleBatch(now Cycle) {
-	h, n := d.head, len(d.pq)
-	end := h
-	for end < n && d.pq[end].done <= now {
-		end++
+	ready := d.ready[:0]
+	next := MaxCycle
+	for fi, hd := range d.heads {
+		f := &d.fifos[fi]
+		if hd > now || f.n == 0 {
+			next = min(next, hd)
+			continue
+		}
+		r := readyFront{seq: d.pend[f.ring[f.head].slot].seq, fifo: fi}
+		ready = append(ready, r)
+		j := len(ready) - 1
+		for ; j > 0 && ready[j-1].seq > r.seq; j-- {
+			ready[j] = ready[j-1]
+		}
+		ready[j] = r
 	}
-	// Completion ties across banks can invert posting order inside the
-	// batch; restore seq order (almost always already sorted — one compare
-	// per entry) before applying.
-	for i := h + 1; i < end; i++ {
-		if d.pq[i].seq < d.pq[i-1].seq {
-			m := d.pq[i]
+	for i := 0; i < len(ready); {
+		fi := ready[i].fifo
+		f := &d.fifos[fi]
+		slot := f.ring[f.head].slot
+		f.head = (f.head + 1) & (len(f.ring) - 1)
+		f.n--
+		d.store.Write(d.pend[slot].addr, d.pend[slot].data)
+		d.retire(slot)
+		d.live--
+		if f.n > 0 && f.ring[f.head].done <= now {
+			// Still ready: move the FIFO back to its place by its new front.
+			r := readyFront{seq: d.pend[f.ring[f.head].slot].seq, fifo: fi}
 			j := i
-			for j > h && d.pq[j-1].seq > m.seq {
-				d.pq[j] = d.pq[j-1]
-				j--
+			for ; j+1 < len(ready) && ready[j+1].seq < r.seq; j++ {
+				ready[j] = ready[j+1]
 			}
-			d.pq[j] = m
+			ready[j] = r
+			continue
+		}
+		// heads[fi] went stale while fi was ready; refresh it as it leaves.
+		d.heads[fi] = MaxCycle
+		if f.n > 0 {
+			d.heads[fi] = f.ring[f.head].done
+		}
+		next = min(next, d.heads[fi])
+		i++
+	}
+	d.ready = ready
+	d.minDone = next
+}
+
+// retire releases a write leaving the queue: its forwarding nodes, its
+// payload buffer and its slot. The caller has already taken it off its
+// FIFO and decided what reaches the store.
+//
+//thynvm:hotpath
+func (d *Device) retire(slot int32) {
+	d.unlink(slot)
+	d.recycle(d.pend[slot].data)
+	d.freeSlot = append(d.freeSlot, slot)
+}
+
+// enqueue appends q to FIFO fi. Bank FIFOs are already in completion
+// order, so the sift loop exits at once; only the bankless FIFO can take
+// a write that completes before its tail.
+//
+//thynvm:hotpath
+func (d *Device) enqueue(fi int, q queued) {
+	f := &d.fifos[fi]
+	if f.n == len(f.ring) {
+		// Doubling by appending a copy of the ring keeps every live entry
+		// at its position modulo the new length, so head stays valid.
+		f.ring = append(f.ring, f.ring...)
+		if len(f.ring) == 0 {
+			f.ring = append(f.ring, queued{})
 		}
 	}
-	for i := h; i < end; i++ {
-		m := &d.pq[i]
-		buf := d.slots[m.slot]
-		d.store.Write(m.addr, buf)
-		d.retireCnt(m.addr, int(m.n))
-		d.recycle(buf)
-		d.freeSlot = append(d.freeSlot, m.slot)
+	mask := len(f.ring) - 1
+	i := f.n
+	for ; i > 0; i-- {
+		prev := f.ring[(f.head+i-1)&mask]
+		if prev.done <= q.done {
+			break
+		}
+		f.ring[(f.head+i)&mask] = prev
 	}
-	if end == n {
-		d.pq = d.pq[:0]
-		d.head = 0
-		return
+	f.ring[(f.head+i)&mask] = q
+	f.n++
+	if i == 0 {
+		d.heads[fi] = q.done
 	}
-	d.head = end
-	d.minDone = d.pq[end].done
-	// Reclaim the retired prefix once it dominates the slice, amortizing
-	// the copy over at least as many pops.
-	if end >= 32 && end*2 >= n {
-		live := copy(d.pq, d.pq[end:n])
-		d.pq = d.pq[:live]
-		d.head = 0
+}
+
+// follow resolves forwarding-chain reference r to its write's slot, the
+// page it stands for, and its outgoing link.
+//
+//thynvm:hotpath
+func (d *Device) follow(r int32) (slot int32, page uint64, next *int32) {
+	if r > 0 {
+		w := &d.pend[r-1]
+		return r - 1, PageAlign(w.addr), &w.next
+	}
+	nd := &d.extra[-r]
+	return nd.slot, nd.page, &nd.next
+}
+
+// link threads a freshly posted write into the forwarding chain of every
+// page it touches.
+//
+//thynvm:hotpath
+func (d *Device) link(slot int32) {
+	w := &d.pend[slot]
+	first := PageAlign(w.addr)
+	for p := first; p < w.addr+uint64(len(w.data)); p += PageSize {
+		r := slot + 1
+		if p != first {
+			i := d.freeExtra
+			if i != 0 {
+				d.freeExtra = d.extra[i].next
+			} else {
+				i = int32(len(d.extra))
+				d.extra = append(d.extra, fwdNode{})
+			}
+			d.extra[i] = fwdNode{page: p, slot: slot}
+			r = -i
+		}
+		b := &d.buckets[(p/PageSize)&(pendBuckets-1)]
+		if b.tail != 0 {
+			_, _, next := d.follow(b.tail)
+			*next = r
+		} else {
+			b.head = r
+		}
+		b.tail = r
+	}
+}
+
+// unlink removes a leaving write from its chains; it must mirror link
+// exactly. Writes mostly leave oldest first, so the reference sought is
+// usually at the head of its chain.
+//
+//thynvm:hotpath
+func (d *Device) unlink(slot int32) {
+	w := &d.pend[slot]
+	for p := PageAlign(w.addr); p < w.addr+uint64(len(w.data)); p += PageSize {
+		b := &d.buckets[(p/PageSize)&(pendBuckets-1)]
+		link, prev, r := &b.head, int32(0), b.head
+		for {
+			s, pg, next := d.follow(r)
+			if s == slot && pg == p {
+				*link = *next
+				if b.tail == r {
+					b.tail = prev
+				}
+				if r < 0 {
+					*next = d.freeExtra
+					d.freeExtra = -r
+				}
+				break
+			}
+			link, prev, r = next, r, *next
+		}
 	}
 }
 
@@ -341,7 +513,11 @@ func (d *Device) getBuf(n int) []byte {
 	for i := len(d.free) - 1; i >= stop; i-- {
 		if cap(d.free[i]) >= n {
 			b := d.free[i][:n]
-			d.free = append(d.free[:i], d.free[i+1:]...)
+			if i == len(d.free)-1 {
+				d.free = d.free[:i]
+			} else {
+				d.free = append(d.free[:i], d.free[i+1:]...)
+			}
 			return b
 		}
 	}
@@ -357,7 +533,7 @@ func (d *Device) Read(now Cycle, addr uint64, buf []byte) Cycle {
 	done := now
 	// One bank access per touched block.
 	for a := BlockAlign(addr); a < addr+uint64(len(buf)); a += BlockSize {
-		if c := d.access(now, a, false); c > done {
+		if c, _ := d.access(now, a, false); c > done {
 			done = c
 		}
 	}
@@ -384,7 +560,8 @@ func (d *Device) ReadBackground(now Cycle, addr uint64, buf []byte) Cycle {
 	d.settle(now)
 	done := now
 	for a := BlockAlign(addr); a < addr+uint64(len(buf)); a += BlockSize {
-		b, row := d.bankOf(a)
+		bi, row := d.bankIndex(a)
+		b := &d.banks[bi]
 		start := maxCycle(now, b.writeReadyAt)
 		lat := d.spec.RowMissClean
 		if row == b.readRow || row == b.writeRow {
@@ -412,86 +589,47 @@ func (d *Device) ReadBackground(now Cycle, addr uint64, buf []byte) Cycle {
 	return done
 }
 
-// postCnt registers a freshly posted write's pages in the occupancy
-// filter.
-//
-//thynvm:hotpath
-func (d *Device) postCnt(addr uint64, n int) {
-	for a := PageAlign(addr); a < addr+uint64(n); a += PageSize {
-		d.pendCnt[(a/PageSize)&(pendBuckets-1)]++
-	}
-}
-
-// retireCnt removes a retired (or crashed-away) write's pages from the
-// occupancy filter; it must mirror postCnt exactly.
-//
-//thynvm:hotpath
-func (d *Device) retireCnt(addr uint64, n int) {
-	for a := PageAlign(addr); a < addr+uint64(n); a += PageSize {
-		d.pendCnt[(a/PageSize)&(pendBuckets-1)]--
-	}
-}
-
-// forwardPending overlays still-queued write data onto buf. The queue is
-// completion-ordered, but forwarding must honor posting order (the newest
-// write to an overlapping range wins), so when more than one live entry
-// overlaps the read the overlay is replayed in ascending seq — a
-// selection walk rather than a sort, since overlap counts above one are
-// rare and tiny. Zero or one overlap — the common cases — skip straight
-// through.
+// forwardPending overlays still-queued write data onto buf, newest write
+// last so it wins where writes overlap. It walks the forwarding chain of
+// each page the read touches; a write spanning several of those pages is
+// taken once, at the page where its overlap with the read begins. Each
+// chain is oldest first, so a read within one page gathers its overlaps
+// already in seq order; a multi-page read merges its pages' runs.
 //
 //thynvm:hotpath
 func (d *Device) forwardPending(addr uint64, buf []byte) {
-	n := len(d.pq)
-	if d.head == n {
+	if d.live == 0 {
 		return
 	}
 	end := addr + uint64(len(buf))
-	hit := false
-	for a := PageAlign(addr); a < end; a += PageSize {
-		if d.pendCnt[(a/PageSize)&(pendBuckets-1)] != 0 {
-			hit = true
-			break
-		}
-	}
-	if !hit {
-		return
-	}
-	first, count := 0, 0
-	for i := d.head; i < n; i++ {
-		m := &d.pq[i]
-		if m.addr < end && addr < m.addr+uint64(m.n) {
-			if count == 0 {
-				first = i
+	hits := d.hits[:0]
+	for p := PageAlign(addr); p < end; p += PageSize {
+		for r := d.buckets[(p/PageSize)&(pendBuckets-1)].head; r != 0; {
+			slot, page, next := d.follow(r)
+			r = *next
+			if page != p {
+				continue // an aliased page sharing the bucket
 			}
-			count++
-		}
-	}
-	if count == 0 {
-		return
-	}
-	if count == 1 {
-		m := &d.pq[first]
-		forward(addr, buf, m.addr, d.slots[m.slot])
-		return
-	}
-	var last uint64 // seqs are 1-based, so 0 means none applied yet
-	for k := 0; k < count; k++ {
-		best := first
-		var bestSeq uint64
-		for i := first; i < n; i++ {
-			m := &d.pq[i]
-			if m.addr >= end || addr >= m.addr+uint64(m.n) {
+			w := &d.pend[slot]
+			if w.addr >= end || addr >= w.addr+uint64(len(w.data)) || PageAlign(max(w.addr, addr)) != p {
 				continue
 			}
-			if m.seq > last && (bestSeq == 0 || m.seq < bestSeq) {
-				best, bestSeq = i, m.seq
-			}
+			hits = append(hits, slot)
 		}
-		m := &d.pq[best]
-		forward(addr, buf, m.addr, d.slots[m.slot])
-		last = bestSeq
 	}
+	// Insertion sort by seq: free when the hits came from one chain.
+	for i := 1; i < len(hits); i++ {
+		s := hits[i]
+		j := i
+		for ; j > 0 && d.pend[hits[j-1]].seq > d.pend[s].seq; j-- {
+			hits[j] = hits[j-1]
+		}
+		hits[j] = s
+	}
+	for _, s := range hits {
+		forward(addr, buf, d.pend[s].addr, d.pend[s].data)
+	}
+	d.hits = hits
 }
 
 // forward overlays src data (at srcAddr) onto dst (at dstAddr) where the
@@ -538,7 +676,7 @@ func (d *Device) WriteWithCompletion(now Cycle, addr uint64, data []byte, src Wr
 func (d *Device) WriteAt(now, issueAt Cycle, addr uint64, data []byte, src WriteSource) (ack, done Cycle) {
 	d.settle(now)
 	ack = now
-	if len(d.pq)-d.head >= d.spec.WriteQueueCap {
+	if d.live >= d.spec.WriteQueueCap {
 		// Stall until the oldest outstanding write completes.
 		if d.minDone > ack {
 			ack = d.minDone
@@ -555,9 +693,10 @@ func (d *Device) WriteAt(now, issueAt Cycle, addr uint64, data []byte, src Write
 		start = issueAt
 	}
 	done = start
+	fi := len(d.banks) // the bankless FIFO, unless an access sets done
 	for a := BlockAlign(addr); a < addr+uint64(len(data)); a += BlockSize {
-		if c := d.access(start, a, true); c > done {
-			done = c
+		if c, bi := d.access(start, a, true); c >= done {
+			done, fi = c, bi
 		}
 	}
 	cp := d.getBuf(len(data))
@@ -567,30 +706,25 @@ func (d *Device) WriteAt(now, issueAt Cycle, addr uint64, data []byte, src Write
 			cp = alt
 		}
 	}
-	// Park the payload in a stable slot, then insert its metadata in
-	// completion order (stable on ties, so seq stays ascending among equal
-	// completions). Same-bank writes complete in posting order, so the
-	// sift almost never moves more than a step or two — and it shifts
-	// pointer-free words only.
+	// Park the payload and its metadata in a stable slot, then queue the
+	// slot on its bank's FIFO and thread it into the forwarding chains.
+	d.seqCtr++
+	w := pendingWrite{addr: addr, seq: d.seqCtr, data: cp}
 	var slot int32
 	if k := len(d.freeSlot) - 1; k >= 0 {
 		slot = d.freeSlot[k]
 		d.freeSlot = d.freeSlot[:k]
-		d.slots[slot] = cp
+		d.pend[slot] = w
 	} else {
-		slot = int32(len(d.slots))
-		d.slots = append(d.slots, cp)
+		slot = int32(len(d.pend))
+		d.pend = append(d.pend, w)
 	}
-	d.seqCtr++
-	m := pendingMeta{addr: addr, done: done, seq: d.seqCtr, slot: slot, n: int32(len(cp))}
-	d.pq = append(d.pq, m)
-	i := len(d.pq) - 1
-	for ; i > d.head && d.pq[i-1].done > done; i-- {
-		d.pq[i] = d.pq[i-1]
+	d.enqueue(fi, queued{done: done, slot: slot})
+	if d.live == 0 || done < d.minDone {
+		d.minDone = done
 	}
-	d.pq[i] = m
-	d.minDone = d.pq[d.head].done
-	d.postCnt(addr, len(cp))
+	d.live++
+	d.link(slot)
 	d.stats.Writes++
 	d.stats.BytesWritten += uint64(len(data))
 	if src >= 0 && src < NumWriteSources {
@@ -614,19 +748,37 @@ func (d *Device) Flush(now Cycle) Cycle {
 // MaxPendingDone returns the completion cycle of the latest outstanding
 // posted write, or now if none. Checkpointing uses it to order its commit
 // record after the whole write queue (the paper's "flush the NVM write
-// queue" step) without stalling the issuer. Completion order makes this
-// the tail entry — no scan.
+// queue" step) without stalling the issuer. Each FIFO is completion
+// ordered, so only their tails are read.
 func (d *Device) MaxPendingDone(now Cycle) Cycle {
-	if n := len(d.pq); n > d.head && d.pq[n-1].done > now {
-		return d.pq[n-1].done
+	latest := now
+	for fi := range d.fifos {
+		if f := &d.fifos[fi]; f.n > 0 {
+			latest = max(latest, f.at(f.n-1).done)
+		}
 	}
-	return now
+	return latest
 }
 
 // PendingWrites reports how many posted writes are not yet durable at now.
 func (d *Device) PendingWrites(now Cycle) int {
 	d.settle(now)
-	return len(d.pq) - d.head
+	return d.live
+}
+
+// livePostingOrder gathers the whole queue in posting (seq) order, for the
+// paths that replay all of it.
+func (d *Device) livePostingOrder() []queued {
+	all := d.all[:0]
+	for fi := range d.fifos {
+		f := &d.fifos[fi]
+		for i := range f.n {
+			all = append(all, f.at(i))
+		}
+	}
+	sort.Slice(all, func(i, j int) bool { return d.pend[all[i].slot].seq < d.pend[all[j].slot].seq })
+	d.all = all
+	return all
 }
 
 // Crash models a power failure at cycle at: posted writes that have not
@@ -635,29 +787,26 @@ func (d *Device) PendingWrites(now Cycle) int {
 func (d *Device) Crash(at Cycle) {
 	// Apply writes durable by the crash instant in posting order (same-
 	// address writes serialize on the same bank, so posting order matches
-	// durability order there), drop the rest. The live run is completion-
-	// ordered, so restore posting order first — it is about to be emptied
-	// anyway, and torn-persist injectors depend on seeing in-flight writes
-	// in the order they were posted.
-	live := d.pq[d.head:]
-	sort.Slice(live, func(i, j int) bool { return live[i].seq < live[j].seq })
-	for _, m := range live {
-		buf := d.slots[m.slot]
-		if m.done <= at {
-			d.store.Write(m.addr, buf)
+	// durability order there), drop the rest. Torn-persist injectors
+	// depend on seeing in-flight writes in the order they were posted.
+	for _, q := range d.livePostingOrder() {
+		w := &d.pend[q.slot]
+		if q.done <= at {
+			d.store.Write(w.addr, w.data)
 		} else if d.crashFault != nil {
 			// In flight at the crash instant: normally lost outright, but a
 			// torn-persist injector may keep a partial/corrupted payload.
-			if keep := d.crashFault(m.addr, buf); len(keep) > 0 {
-				d.store.Write(m.addr, keep)
+			if keep := d.crashFault(w.addr, w.data); len(keep) > 0 {
+				d.store.Write(w.addr, keep)
 			}
 		}
-		d.retireCnt(m.addr, int(m.n))
-		d.recycle(buf)
-		d.freeSlot = append(d.freeSlot, m.slot)
+		d.retire(q.slot)
 	}
-	d.pq = d.pq[:0]
-	d.head = 0
+	d.live = 0
+	for fi := range d.fifos {
+		d.fifos[fi].head, d.fifos[fi].n = 0, 0
+		d.heads[fi] = MaxCycle
+	}
 	if d.spec.Volatile {
 		d.store.Clear()
 	}
@@ -684,13 +833,11 @@ func (d *Device) Poke(addr uint64, data []byte) {
 // them. The device itself is not modified.
 func (d *Device) DurableSnapshot(at Cycle) *Storage {
 	s := d.store.Clone()
-	// The durable prefix is completion-ordered; replay it in posting order
-	// (as settle would) without disturbing the device.
-	durable := append([]pendingMeta(nil), d.pq[d.head:]...)
-	sort.Slice(durable, func(i, j int) bool { return durable[i].seq < durable[j].seq })
-	for _, m := range durable {
-		if m.done <= at {
-			s.Write(m.addr, d.slots[m.slot])
+	// Replay the writes durable by then in posting order, as settle would,
+	// without disturbing the device.
+	for _, q := range d.livePostingOrder() {
+		if q.done <= at {
+			s.Write(d.pend[q.slot].addr, d.pend[q.slot].data)
 		}
 	}
 	return s

@@ -340,3 +340,39 @@ func TestMaxPendingDone(t *testing.T) {
 		t.Errorf("MaxPendingDone = %d, want %d", got, done)
 	}
 }
+
+// Once the queue, its slots and its forwarding nodes have grown to the
+// workload's depth, posting, settling, reading and forwarding allocate
+// nothing: block writes to pages that share forwarding buckets, and
+// three-page writes whose further pages take overflow nodes.
+func TestDeviceSteadyStateAllocatesNothing(t *testing.T) {
+	const alias = pendBuckets * PageSize
+	for _, tc := range []struct {
+		name string
+		size int
+	}{{"block", BlockSize}, {"multi-page", 3 * PageSize}} {
+		t.Run(tc.name, func(t *testing.T) {
+			d := NewDevice(NVMSpec())
+			data := make([]byte, tc.size)
+			buf := make([]byte, 2*PageSize)
+			now := Cycle(0)
+			i := 0
+			step := func() {
+				addr := uint64(i%64)*PageSize + uint64(i%3)*alias + uint64(i%7)*BlockSize
+				now = d.Write(now, addr, data, SrcCPU)
+				d.Read(now, addr+BlockSize, buf[:BlockSize])
+				d.Peek(PageAlign(addr), buf)
+				i++
+			}
+			for range 5000 {
+				step()
+			}
+			if d.PendingWrites(now) == 0 {
+				t.Fatal("queue drained during warm-up; the test would not exercise forwarding")
+			}
+			if allocs := testing.AllocsPerRun(1000, step); allocs != 0 {
+				t.Errorf("steady-state write/read/peek allocated %.2f times per step, want 0", allocs)
+			}
+		})
+	}
+}
