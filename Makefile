@@ -1,7 +1,7 @@
 GO      ?= go
 PKGS    := ./...
 # Packages with hot-path micro-benchmarks.
-BENCHPKGS := ./internal/radix ./internal/mem ./internal/cache ./internal/core ./internal/alloc
+BENCHPKGS := ./internal/radix ./internal/mem ./internal/cache ./internal/core ./internal/alloc ./internal/verify ./internal/torture
 BENCHTIME ?= 2s
 BENCHDIR  := bench
 

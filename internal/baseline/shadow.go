@@ -322,15 +322,23 @@ func (s *Shadow) flush(now mem.Cycle, cpuState []byte, ckptStall bool) mem.Cycle
 
 // evictClean frees the DRAM slot of one clean buffered page (lowest page
 // index first, for determinism). It reports whether a page was evicted.
+// The page table scans in ascending page order, so the scan stops at the
+// first clean buffered page.
 func (s *Shadow) evictClean() bool {
-	for _, p := range s.sortedPages() {
+	var victim *shadowPage
+	s.pages.Scan(func(_ uint64, p *shadowPage) bool {
 		if p.dramAddr != noSlot && !p.dirty {
-			s.freeDRAM = append(s.freeDRAM, p.dramAddr)
-			p.dramAddr = noSlot
-			return true
+			victim = p
+			return false
 		}
+		return true
+	})
+	if victim == nil {
+		return false
 	}
-	return false
+	s.freeDRAM = append(s.freeDRAM, victim.dramAddr)
+	victim.dramAddr = noSlot
+	return true
 }
 
 // CheckpointDue implements ctl.Controller.

@@ -20,6 +20,7 @@ import (
 
 	"thynvm/internal/mem"
 	"thynvm/internal/obs"
+	"thynvm/internal/pool"
 )
 
 // Backend is the memory system beneath the cache hierarchy. Addresses are
@@ -80,7 +81,22 @@ type level struct {
 	stats LevelStats
 }
 
+// maxSpareLevels bounds how many released levels of one geometry are kept
+// for reuse: enough for a few systems built and closed side by side, few
+// enough that the paper's hierarchy (~3.1 MB of slabs) pins at most ~25 MB.
+const maxSpareLevels = 8
+
+// spareLevels holds the levels of released hierarchies until a later
+// hierarchy with the same geometry takes them (see Hierarchy.Release).
+var spareLevels = pool.NewFreeList[LevelSpec, *level](maxSpareLevels)
+
+// newLevel returns an empty level for spec: a released one reset to the
+// state of a fresh one when available, else a newly allocated one.
 func newLevel(spec LevelSpec) *level {
+	if l, ok := spareLevels.Get(spec); ok {
+		l.reset()
+		return l
+	}
 	nsets := spec.SizeB / (spec.Ways * mem.BlockSize)
 	if nsets < 1 {
 		nsets = 1
@@ -97,6 +113,27 @@ func newLevel(spec LevelSpec) *level {
 		data:  make([]byte, n*mem.BlockSize),
 		dirty: make([]uint64, (n+63)/64),
 	}
+}
+
+// invalidate drops every line: a generation bump (the stamps reset only
+// when the counter wraps) and a cleared dirty bitmap.
+func (l *level) invalidate() {
+	l.gen++
+	if l.gen == 0 {
+		clear(l.gens)
+		l.gen = 1
+	}
+	clear(l.dirty)
+}
+
+// reset makes a released level indistinguishable from a fresh one: it
+// invalidates every line and zeroes the statistics. Tags, LRU stamps and
+// data keep their old values, but lookup, victim choice, flushing and
+// peeking read them only for lines stamped with the current generation,
+// and each such line is installed after the reset, which writes all three.
+func (l *level) reset() {
+	l.invalidate()
+	l.stats = LevelStats{}
 }
 
 // setBase returns the index of the first line of block's set. Every
@@ -324,6 +361,7 @@ func (h *Hierarchy) Read(now mem.Cycle, addr uint64, buf []byte) mem.Cycle {
 	}
 	blk := h.scratch[:]
 	if len(h.levels) == 0 {
+		h.live()
 		done := h.back.ReadBlock(now, mem.BlockAlign(addr), blk)
 		copy(buf, blk[addr-mem.BlockAlign(addr):])
 		return done
@@ -345,6 +383,7 @@ func (h *Hierarchy) Write(now mem.Cycle, addr uint64, data []byte) mem.Cycle {
 	}
 	if len(h.levels) == 0 {
 		// No caches: read-modify-write the block directly in memory.
+		h.live()
 		base := mem.BlockAlign(addr)
 		blk := h.scratch[:]
 		done := h.back.ReadBlock(now, base, blk)
@@ -393,6 +432,7 @@ func checkRange(addr uint64, n int) error {
 // line would issue them, at a cost proportional to the bitmap's words
 // plus the dirty lines.
 func (h *Hierarchy) FlushDirty(now mem.Cycle, perBlockIssue mem.Cycle) (mem.Cycle, int) {
+	h.live()
 	flushed := 0
 	// Upper levels hold the newest data; flushing a block from an upper
 	// level supersedes stale dirty copies below, so clean those too.
@@ -434,6 +474,7 @@ func (h *Hierarchy) syncBelow(li int, block uint64, data []byte) {
 // timing or replacement state. Upper levels hold the newest data, so the
 // first hit wins. Verification-only.
 func (h *Hierarchy) PeekOverlay(base uint64, buf []byte) {
+	h.live()
 	block := base / mem.BlockSize
 	for _, l := range h.levels {
 		if i := l.lookup(block); i >= 0 {
@@ -447,13 +488,29 @@ func (h *Hierarchy) PeekOverlay(base uint64, buf []byte) {
 // costs one generation bump and a bitmap clear per level, not a pass over
 // every line; only a wrapped generation counter resets the stamps.
 func (h *Hierarchy) InvalidateAll() {
+	h.live()
 	for _, l := range h.levels {
-		l.gen++
-		if l.gen == 0 {
-			clear(l.gens)
-			l.gen = 1
-		}
-		clear(l.dirty)
+		l.invalidate()
 	}
 	h.dirty = 0
+}
+
+// Release hands the hierarchy's levels back for reuse by hierarchies built
+// later with the same level specs, and drops its backend and recorder. The
+// hierarchy must not be used afterwards: it has no levels and no backend
+// left, so any access panics. Releasing twice is a no-op.
+func (h *Hierarchy) Release() {
+	for i, l := range h.levels {
+		spareLevels.Put(l.spec, l)
+		h.levels[i] = nil
+	}
+	h.levels, h.back, h.dirty = nil, nil, 0
+	h.rec, h.recOn = nil, false
+}
+
+// live panics on a released hierarchy.
+func (h *Hierarchy) live() {
+	if h.back == nil {
+		panic("cache: hierarchy used after Release")
+	}
 }

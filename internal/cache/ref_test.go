@@ -259,9 +259,47 @@ func TestHierarchyMatchesReference(t *testing.T) {
 }
 
 func diffHierarchies(t *testing.T, specs []LevelSpec, seed int64) {
-	rng := rand.New(rand.NewSource(seed))
 	gb, rb := newLogBackend(), newLogBackend()
 	got, ref := NewHierarchy(gb, specs...), newRefHierarchy(rb, specs...)
+	diffModels(t, got, ref, gb, rb, specs, rand.New(rand.NewSource(seed)))
+}
+
+// model is the surface the differential tests drive: Hierarchy, the naive
+// reference, or a second Hierarchy.
+type model interface {
+	Read(now mem.Cycle, addr uint64, buf []byte) mem.Cycle
+	Write(now mem.Cycle, addr uint64, data []byte) mem.Cycle
+	PeekOverlay(base uint64, buf []byte)
+	FlushDirty(now, perBlockIssue mem.Cycle) (mem.Cycle, int)
+	InvalidateAll()
+	levelStats() []LevelStats
+	dirtyBlocks() int
+}
+
+func (h *Hierarchy) levelStats() []LevelStats {
+	out := make([]LevelStats, len(h.levels))
+	for i, l := range h.levels {
+		out[i] = l.stats
+	}
+	return out
+}
+
+func (h *Hierarchy) dirtyBlocks() int { return h.DirtyBlocks() }
+
+func (h *refHierarchy) levelStats() []LevelStats {
+	out := make([]LevelStats, len(h.levels))
+	for i, l := range h.levels {
+		out[i] = l.stats
+	}
+	return out
+}
+
+// diffModels drives got and ref, sitting on gb and rb, with the same
+// randomized Read/Write/FlushDirty/InvalidateAll/PeekOverlay sequence and
+// requires identical completion cycles, level statistics, dirty counts,
+// peeked bytes, and backend call order and payloads.
+func diffModels(t *testing.T, got, ref model, gb, rb *logBackend, specs []LevelSpec, rng *rand.Rand) {
+	t.Helper()
 	// Keep the footprint a few times the outermost level so hits,
 	// conflicts and dirty evictions all occur.
 	last := specs[len(specs)-1]
@@ -306,9 +344,10 @@ func diffHierarchies(t *testing.T, specs []LevelSpec, seed int64) {
 			ref.InvalidateAll()
 		}
 		now += mem.Cycle(rng.Intn(8))
-		for i, st := range got.Stats() {
-			if st.LevelStats != ref.levels[i].stats {
-				t.Fatalf("op %d %s stats %+v, reference %+v", op, st.Name, st.LevelStats, ref.levels[i].stats)
+		rs := ref.levelStats()
+		for i, st := range got.levelStats() {
+			if st != rs[i] {
+				t.Fatalf("op %d %s stats %+v, reference %+v", op, specs[i].Name, st, rs[i])
 			}
 		}
 		// The reference counts dirty lines by a full walk; on the paper's
@@ -316,7 +355,7 @@ func diffHierarchies(t *testing.T, specs []LevelSpec, seed int64) {
 		if last.SizeB > 64<<10 && op%64 != 0 {
 			continue
 		}
-		if g, r := got.DirtyBlocks(), ref.dirtyBlocks(); g != r {
+		if g, r := got.dirtyBlocks(), ref.dirtyBlocks(); g != r {
 			t.Fatalf("op %d DirtyBlocks = %d, reference %d", op, g, r)
 		}
 	}

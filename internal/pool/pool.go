@@ -102,3 +102,51 @@ func Run[T any](n, workers int, job func(i int) (T, error)) ([]T, error) {
 	}
 	return results, nil
 }
+
+// FreeList is a bounded stash of reusable values keyed by K, safe for use
+// from concurrent goroutines. It exists for objects that are expensive to
+// build and that their owner can reset to a freshly built state more
+// cheaply (the cache package's level slabs): the sim packages themselves
+// may not hold locks, so the synchronization lives here.
+//
+// Unlike sync.Pool, a FreeList is not drained by garbage collection, and
+// it keeps at most limit values per key; Put drops anything beyond that,
+// so the memory it pins is bounded by limit times the largest value per
+// key in use.
+type FreeList[K comparable, V any] struct {
+	mu    sync.Mutex
+	limit int
+	spare map[K][]V
+}
+
+// NewFreeList returns an empty free list keeping at most limit values per
+// key.
+func NewFreeList[K comparable, V any](limit int) *FreeList[K, V] {
+	return &FreeList[K, V]{limit: limit, spare: make(map[K][]V)}
+}
+
+// Get removes and returns a spare value for key; ok is false when there is
+// none.
+func (f *FreeList[K, V]) Get(key K) (v V, ok bool) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	s := f.spare[key]
+	if len(s) == 0 {
+		return v, false
+	}
+	v = s[len(s)-1]
+	var zero V
+	s[len(s)-1] = zero // do not pin a value handed out
+	f.spare[key] = s[:len(s)-1]
+	return v, true
+}
+
+// Put offers v for reuse under key; it is dropped when key already holds
+// limit values. The caller must not use v afterwards.
+func (f *FreeList[K, V]) Put(key K, v V) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if s := f.spare[key]; len(s) < f.limit {
+		f.spare[key] = append(s, v)
+	}
+}

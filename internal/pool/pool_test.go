@@ -109,3 +109,28 @@ func TestRunConcurrent(t *testing.T) {
 		}
 	}
 }
+
+// TestFreeListBounded checks the free list's contract: values come back
+// only under their own key, at most limit are kept per key, and a value
+// handed out is gone from the list.
+func TestFreeListBounded(t *testing.T) {
+	f := NewFreeList[string, int](2)
+	if _, ok := f.Get("a"); ok {
+		t.Fatal("Get on an empty list succeeded")
+	}
+	f.Put("a", 1)
+	f.Put("a", 2)
+	f.Put("a", 3) // over the limit: dropped
+	f.Put("b", 9)
+	for _, want := range []int{2, 1} {
+		if v, ok := f.Get("a"); !ok || v != want {
+			t.Fatalf("Get(a) = %d, %v; want %d, true", v, ok, want)
+		}
+	}
+	if v, ok := f.Get("a"); ok {
+		t.Fatalf("Get(a) = %d after the list was emptied; the value over the limit was kept", v)
+	}
+	if v, ok := f.Get("b"); !ok || v != 9 {
+		t.Fatalf("Get(b) = %d, %v; want 9, true", v, ok)
+	}
+}

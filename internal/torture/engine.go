@@ -52,6 +52,10 @@ type engine struct {
 	out  *Outcome
 	isID bool // ideal system: engine-side crash-instant verification
 
+	// Buffers reused across the schedule's ops and crashes: the op
+	// payload, and the ideal systems' crash-instant and recovered images.
+	payload, image, after []byte
+
 	tearFired bool // a tear hit a persist at the current crash
 	tearEver  bool // any tear fired over the schedule's lifetime
 	mediaEver bool // any media fault landed over the schedule's lifetime
@@ -207,12 +211,22 @@ func (e *engine) clampAddr(addr uint64, n int) uint64 {
 	return addr % (limit + 1)
 }
 
+// buf returns the op payload buffer resized to n bytes. Neither the
+// machine nor the controllers keep a caller's buffer, so one serves every
+// op of the schedule.
+func (e *engine) buf(n int) []byte {
+	if cap(e.payload) < n {
+		e.payload = make([]byte, n)
+	}
+	return e.payload[:n]
+}
+
 func (e *engine) step(op *Op) error {
 	m := e.sys.Machine
 	switch op.Kind {
 	case OpWrite:
 		addr := e.clampAddr(op.Addr, op.Len)
-		data := make([]byte, op.Len)
+		data := e.buf(op.Len)
 		for j := range data {
 			data[j] = op.Val + byte(j)
 		}
@@ -220,7 +234,7 @@ func (e *engine) step(op *Op) error {
 		e.o.RecordWrite(addr, op.Len)
 	case OpRead:
 		addr := e.clampAddr(op.Addr, op.Len)
-		m.Read(addr, make([]byte, op.Len))
+		m.Read(addr, e.buf(op.Len))
 	case OpCompute:
 		m.Compute(op.N)
 	case OpCheckpoint:
@@ -244,10 +258,11 @@ func (e *engine) crash(op *Op) error {
 		m.Checkpoint()
 	}
 
-	var idealImage []byte
 	if e.isID {
-		idealImage = make([]byte, e.s.Footprint)
-		m.Peek(0, idealImage)
+		if e.image == nil {
+			e.image, e.after = make([]byte, e.s.Footprint), make([]byte, e.s.Footprint)
+		}
+		m.Peek(0, e.image)
 	}
 
 	e.tearFired = false
@@ -307,9 +322,8 @@ func (e *engine) crash(op *Op) error {
 
 	if e.isID {
 		// Ideal systems preserve the crash-instant image by assumption.
-		after := make([]byte, e.s.Footprint)
-		m.Peek(0, after)
-		if !bytes.Equal(after, idealImage) {
+		m.Peek(0, e.after)
+		if !bytes.Equal(e.after, e.image) {
 			e.out.Verdicts = append(e.out.Verdicts, "violation")
 			return fmt.Errorf("crash at cycle %d: ideal system lost the crash-instant image", crashAt)
 		}

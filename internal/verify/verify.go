@@ -7,7 +7,7 @@ package verify
 import (
 	"bytes"
 	"fmt"
-	"sort"
+	"slices"
 
 	"thynvm/internal/ctl"
 	"thynvm/internal/mem"
@@ -17,10 +17,10 @@ import (
 // workload started: physical memory is zero-initialized.
 var zeroBlock = make([]byte, mem.BlockSize)
 
-// Snapshot is one captured memory image, keyed by block address. A block in
-// the verified footprint that has no image entry was first touched after
-// this snapshot's capture — its expected content is the pre-workload base
-// (zero unless loaded via LoadBase).
+// Snapshot is one captured memory image of the blocks touched by its
+// capture instant. A block in the verified footprint that the snapshot does
+// not hold was first touched after the capture — its expected content is
+// the pre-workload base (zero unless loaded via LoadBase).
 type Snapshot struct {
 	Label string
 	At    mem.Cycle // capture instant (the checkpoint's epoch boundary)
@@ -36,20 +36,35 @@ type Snapshot struct {
 	// lose" floor.
 	Faulted bool
 
-	image map[uint64][]byte
+	// The image is flat: blocks is the footprint at capture in address
+	// order (the oracle's TouchedBlocks slice of that instant, shared and
+	// never written) and data holds block blocks[i] at
+	// data[i*BlockSize:], so a capture costs two allocations whatever the
+	// footprint.
+	blocks []uint64
+	data   []byte
+}
+
+// block returns the captured content of the snapshot's i-th block.
+func (s *Snapshot) block(i int) []byte {
+	return s.data[i*mem.BlockSize : (i+1)*mem.BlockSize : (i+1)*mem.BlockSize]
 }
 
 // Oracle tracks touched blocks and captured snapshots for one workload run.
 type Oracle struct {
-	touched map[uint64]bool
-	base    map[uint64][]byte
-	snaps   []*Snapshot
+	touched map[uint64]struct{}
+	// sorted caches TouchedBlocks; fresh lists the blocks recorded since
+	// it was built, which the next TouchedBlocks merges in.
+	sorted []uint64
+	fresh  []uint64
+	base   map[uint64][]byte
+	snaps  []*Snapshot
 }
 
 // New returns an empty oracle.
 func New() *Oracle {
 	return &Oracle{
-		touched: make(map[uint64]bool),
+		touched: make(map[uint64]struct{}),
 		base:    make(map[uint64][]byte),
 	}
 }
@@ -61,7 +76,10 @@ func (o *Oracle) RecordWrite(addr uint64, n int) {
 		return
 	}
 	for a := mem.BlockAlign(addr); a < addr+uint64(n); a += mem.BlockSize {
-		o.touched[a] = true
+		if _, ok := o.touched[a]; !ok {
+			o.touched[a] = struct{}{}
+			o.fresh = append(o.fresh, a)
+		}
 	}
 }
 
@@ -83,14 +101,27 @@ func (o *Oracle) LoadBase(addr uint64, data []byte) {
 	}
 }
 
-// TouchedBlocks returns the verified footprint in address order.
+// TouchedBlocks returns the verified footprint in address order. The slice
+// is cached until a block not seen before is recorded, and snapshots keep
+// it as their block list, so callers must treat it as read-only. A slice
+// once returned never changes: recording new blocks builds a new one.
 func (o *Oracle) TouchedBlocks() []uint64 {
-	out := make([]uint64, 0, len(o.touched))
-	for a := range o.touched {
-		out = append(out, a)
+	if len(o.fresh) == 0 {
+		return o.sorted
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	merged := make([]uint64, 0, len(o.sorted)+len(o.fresh))
+	merged = append(append(merged, o.sorted...), o.fresh...)
+	slices.Sort(merged)
+	o.sorted, o.fresh = merged, o.fresh[:0]
+	return merged
+}
+
+// baseBlock returns block a's pre-workload content.
+func (o *Oracle) baseBlock(a uint64) []byte {
+	if b, ok := o.base[a]; ok {
+		return b
+	}
+	return zeroBlock
 }
 
 // expected returns the content block a must hold for the image to equal
@@ -98,24 +129,20 @@ func (o *Oracle) TouchedBlocks() []uint64 {
 // (the block was first written after s was captured, so at s's instant it
 // still held its initial content).
 func (o *Oracle) expected(s *Snapshot, a uint64) []byte {
-	if img, ok := s.image[a]; ok {
-		return img
+	if i, ok := slices.BinarySearch(s.blocks, a); ok {
+		return s.block(i)
 	}
-	if b, ok := o.base[a]; ok {
-		return b
-	}
-	return zeroBlock
+	return o.baseBlock(a)
 }
 
 // Capture snapshots the controller's software-visible image of all touched
 // blocks; call it at the instant a checkpoint begins (post cache flush).
 // It returns the snapshot index.
 func (o *Oracle) Capture(c ctl.Controller, label string, at mem.Cycle) int {
-	s := &Snapshot{Label: label, At: at, image: make(map[uint64][]byte, len(o.touched))}
-	for _, a := range o.TouchedBlocks() {
-		buf := make([]byte, mem.BlockSize)
-		c.PeekBlock(a, buf)
-		s.image[a] = buf
+	blocks := o.TouchedBlocks()
+	s := &Snapshot{Label: label, At: at, blocks: blocks, data: make([]byte, len(blocks)*mem.BlockSize)}
+	for i, a := range blocks {
+		c.PeekBlock(a, s.block(i))
 	}
 	o.snaps = append(o.snaps, s)
 	return len(o.snaps) - 1
@@ -274,13 +301,7 @@ func (o *Oracle) Check(c ctl.Controller, crashAt mem.Cycle, hadCheckpoint bool) 
 		// pre-workload base.
 		for _, a := range blocks {
 			c.PeekBlock(a, buf)
-			var want []byte
-			if b, ok := o.base[a]; ok {
-				want = b
-			} else {
-				want = zeroBlock
-			}
-			if !bytes.Equal(buf, want) {
+			if want := o.baseBlock(a); !bytes.Equal(buf, want) {
 				return -1, fmt.Errorf("verify: cold start image differs from initial content at block %#x: got %x... want %x...",
 					a, buf[:4], want[:4])
 			}

@@ -1,6 +1,8 @@
 package verify
 
 import (
+	"bytes"
+	"slices"
 	"testing"
 
 	"thynvm/internal/core"
@@ -301,5 +303,100 @@ func TestCheckEndToEnd(t *testing.T) {
 	}
 	if idx != 0 {
 		t.Fatalf("Check matched snapshot %d, want 0", idx)
+	}
+}
+
+// TestCaptureAllocations pins the flat snapshot layout: a capture costs the
+// snapshot and its data slab, whatever the footprint.
+func TestCaptureAllocations(t *testing.T) {
+	for _, blocks := range []int{1, 64, 4096} {
+		c := testCtrl()
+		o := New()
+		for i := 0; i < blocks; i++ {
+			o.RecordWrite(uint64(i)*2*mem.BlockSize, mem.BlockSize)
+		}
+		allocs := testing.AllocsPerRun(50, func() {
+			o.Capture(c, "ckpt", 0)
+			o.PruneAfter(-1) // keep the snapshot list from growing
+		})
+		if allocs > 2 {
+			t.Errorf("%d-block footprint: Capture made %.1f allocations, want at most 2", blocks, allocs)
+		}
+	}
+}
+
+// TestLateTouchedBlockExpectsBase checks that a block first touched after a
+// snapshot's capture — here one with loaded, non-zero base content, lying
+// between blocks the snapshot holds — is expected to hold its base content
+// for that snapshot, not the content it was later written with.
+func TestLateTouchedBlockExpectsBase(t *testing.T) {
+	c := testCtrl()
+	o := New()
+	late := uint64(2 * mem.BlockSize)
+	c.LoadHome(late, blockOf(3))
+	o.LoadBase(late, blockOf(3))
+	now := c.WriteBlock(0, 0, blockOf(1))
+	now = c.WriteBlock(now, 4*mem.BlockSize, blockOf(2))
+	o.RecordWrite(0, mem.BlockSize)
+	o.RecordWrite(4*mem.BlockSize, mem.BlockSize)
+	o.Capture(c, "early", now)
+
+	now = c.WriteBlock(now, late, blockOf(8))
+	o.RecordWrite(late, mem.BlockSize)
+	if got := o.expected(o.Snapshots()[0], late); !bytes.Equal(got, blockOf(3)) {
+		t.Fatalf("expected(late) = %x..., want the base %x...", got[:4], blockOf(3)[:4])
+	}
+	if idx, label, ok := o.Match(c); ok {
+		t.Fatalf("late block holds its new content but Match reported %d %q", idx, label)
+	}
+	c.WriteBlock(now, late, blockOf(3))
+	if idx, _, ok := o.Match(c); !ok || idx != 0 {
+		t.Fatalf("late block back at its base content: Match = %d, %v; diff %v", idx, ok, o.Diff(c, 0))
+	}
+}
+
+// TestTouchedBlocksCache checks when the cached footprint is rebuilt: not
+// when a block already in it is touched again, only when a new block is
+// recorded — and then as a new slice, leaving the one handed out before
+// (and kept by earlier snapshots) as it was.
+func TestTouchedBlocksCache(t *testing.T) {
+	o := New()
+	o.RecordWrite(4*mem.BlockSize, mem.BlockSize)
+	o.RecordWrite(0, mem.BlockSize)
+	first := o.TouchedBlocks()
+	o.RecordWrite(10, 4) // inside block 0 again
+	again := o.TouchedBlocks()
+	if len(again) != 2 || &again[0] != &first[0] {
+		t.Fatalf("re-touching a known block rebuilt the footprint: %v -> %v", first, again)
+	}
+	o.RecordWrite(2*mem.BlockSize, 1)
+	grown := o.TouchedBlocks()
+	want := []uint64{0, 2 * mem.BlockSize, 4 * mem.BlockSize}
+	if !slices.Equal(grown, want) {
+		t.Fatalf("footprint after a new block = %v, want %v", grown, want)
+	}
+	if &grown[0] == &first[0] {
+		t.Fatal("a new block reused the slice handed out before")
+	}
+	if !slices.Equal(first, []uint64{0, 4 * mem.BlockSize}) {
+		t.Fatalf("earlier footprint changed to %v", first)
+	}
+}
+
+// BenchmarkOracleCapture measures one checkpoint capture over a 1024-block
+// footprint on the ThyNVM controller.
+func BenchmarkOracleCapture(b *testing.B) {
+	c := testCtrl()
+	o := New()
+	var now mem.Cycle
+	for i := uint64(0); i < 1024; i++ {
+		now = c.WriteBlock(now, i*mem.BlockSize, blockOf(byte(i)))
+		o.RecordWrite(i*mem.BlockSize, mem.BlockSize)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		o.Capture(c, "ckpt", now)
+		o.PruneAfter(-1)
 	}
 }

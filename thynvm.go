@@ -364,10 +364,13 @@ func (s *System) SnapshotStorage(path string) error {
 	return st.Snapshot(path)
 }
 
-// Close releases the system's storage: on the mmap backend it unmaps the
-// NVM image (removing auto-created temporary files); on the heap backend it
-// is a no-op. The system must not be used afterwards.
+// Close releases the system's resources: the cache hierarchy hands its
+// levels back for reuse by systems built later, and on the mmap backend the
+// NVM image is unmapped (auto-created temporary files are removed). The
+// system must not be used afterwards — an access through its caches panics.
+// Closing twice is safe.
 func (s *System) Close() error {
+	s.Machine.Caches().Release()
 	if st := s.nvmStorage(); st != nil {
 		return st.Close()
 	}

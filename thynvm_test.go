@@ -2,6 +2,8 @@ package thynvm_test
 
 import (
 	"bytes"
+	"fmt"
+	"sync"
 	"testing"
 	"time"
 
@@ -166,5 +168,76 @@ func TestSPECWorkloads(t *testing.T) {
 	res := sys.Run(g)
 	if res.Ops != 100 {
 		t.Errorf("ops = %d", res.Ops)
+	}
+}
+
+// TestSystemClose checks Close's contract on every kind of system, with and
+// without caches: closing twice is safe, and an access after Close panics
+// instead of passing through the released cache hierarchy.
+func TestSystemClose(t *testing.T) {
+	for _, k := range thynvm.AllSystems() {
+		for _, noCaches := range []bool{false, true} {
+			opts := smallOpts()
+			opts.NoCaches = noCaches
+			sys := thynvm.MustNewSystem(k, opts)
+			sys.Write(4096, []byte("abc"))
+			if err := sys.Close(); err != nil {
+				t.Fatalf("%s: Close: %v", k, err)
+			}
+			if err := sys.Close(); err != nil {
+				t.Fatalf("%s: second Close: %v", k, err)
+			}
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Errorf("%s (no caches %v): Read after Close did not panic", k, noCaches)
+					}
+				}()
+				sys.Read(4096, make([]byte, 3))
+			}()
+		}
+	}
+}
+
+// TestConcurrentNewSystemClose builds, runs and closes systems from several
+// goroutines at once, so recycled cache levels pass between goroutines
+// through the shared free list. Under -race it checks that hand-off; every
+// run must also reproduce the sequential result exactly.
+func TestConcurrentNewSystemClose(t *testing.T) {
+	run := func() (thynvm.Result, error) {
+		sys, err := thynvm.NewSystem(thynvm.SystemThyNVM, smallOpts())
+		if err != nil {
+			return thynvm.Result{}, err
+		}
+		res := sys.Run(thynvm.RandomWorkload(256<<10, 3000, 1))
+		return res, sys.Close()
+	}
+	want, err := run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	errs := make([]error, 4)
+	for g := range errs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 3; i++ {
+				got, err := run()
+				if err == nil && got != want {
+					err = fmt.Errorf("run %d: %+v, sequential %+v", i, got, want)
+				}
+				if err != nil {
+					errs[g] = err
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			t.Fatal(err)
+		}
 	}
 }
